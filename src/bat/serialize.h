@@ -1,5 +1,5 @@
 // BAT <-> wire-buffer serialization for ring transport and cold storage.
-// The format is a self-describing little-endian layout with a CRC32 footer;
+// The format is a self-describing little-endian layout with a CRC32C footer;
 // the zero-copy RDMA path (src/rdma) hands the encoded buffer across nodes
 // without re-encoding. Encoding is bulk: the exact frame size is computed up
 // front, the buffer is sized once, and fixed-width columns land with a
@@ -73,7 +73,21 @@ std::string Serialize(const Bat& b);
 /// FOR columns unpack to plain fixed columns with sortedness pre-seeded.
 Result<BatPtr> Deserialize(std::string_view buffer);
 
-/// CRC32 (IEEE, table-driven) over a byte range.
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) over a byte range:
+/// the one checksum behind BAT and delta frame footers, spill files and the
+/// ring's hop envelopes. Runs on the SSE4.2 crc32 instruction when the CPU
+/// has it and enc::ForceScalar() is off, else on a bit-identical
+/// slicing-by-8 table loop.
 uint32_t Crc32(const void* data, size_t n);
+
+/// The footer an encoded frame ends with (BAT frames here, delta frames in
+/// write/delta.h): Crc32 over every byte before it. It stands for the whole
+/// frame's checksum, so a sender can wrap a frame for the ring without a
+/// second pass over it. 0 for a frame shorter than a footer.
+uint32_t FrameFooter(std::string_view frame);
+
+/// True when `frame` ends with a footer that matches its body: one pass over
+/// every byte of the frame.
+bool FrameFooterMatches(std::string_view frame);
 
 }  // namespace dcy::bat

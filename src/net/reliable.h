@@ -1,15 +1,18 @@
 // Hop-level reliability for the live ring transport: framing, sequence
 // numbers, CRC verification, cumulative ACK / NACK, and go-back-N
-// retransmission with exponential backoff.
+// retransmission with an adaptive (Jacobson/Karels) timeout and exponential
+// backoff.
 //
 // Each directed neighbour link (data clockwise, requests anti-clockwise)
 // gets a ReliableSender at the sending node and a ReliableReceiver slot at
 // the receiving node. Every frame carries a FrameHeader {sender, epoch,
-// seq, payload_crc, magic}; the receiver verifies the CRC, delivers
-// in-order frames, and answers gaps or corruption with a NACK naming the
-// sequence it expected. The sender keeps un-ACKed frames in a window and
-// retransmits from the NACKed (or timed-out) frame onward — classic
-// go-back-N, which preserves the ring's FIFO contract.
+// seq, payload_crc, magic}; the receiver classifies each frame by its
+// envelope first, verifies the CRC only for a frame it would deliver or
+// whose new epoch it would adopt, delivers in-order frames, and answers
+// gaps or corruption with a NACK naming the sequence it expected. The
+// sender keeps un-ACKed frames in a window and retransmits from the NACKed
+// (or timed-out) frame onward — classic go-back-N, which preserves the
+// ring's FIFO contract.
 //
 // Epochs make restarts safe: whenever a sender resets (node restart, ring
 // re-splice, or an exhausted retransmit budget abandoning the window), it
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 
 #include "common/random.h"
@@ -49,9 +53,11 @@ struct FrameHeader {
   uint32_t sender = core::kInvalidNode;
   uint32_t epoch = 0;
   uint64_t seq = 0;
-  /// CRC32 over application header bytes XOR CRC32 over the payload bytes
-  /// (0 for payload-less frames). The payload half is computed once at load
-  /// and forwarded hop to hop; the receiver recomputes it for verification.
+  /// CRC32C (bat::Crc32) over the application header bytes XOR the content
+  /// CRC, XOR EnvelopeCrc of this header. For an encoded frame the content
+  /// CRC is the frame's own footer (bat::FrameFooter), so a sender wraps a
+  /// frame without a pass over it; the receiver checks the body against the
+  /// footer and the footer against this field — one pass over every byte.
   uint32_t payload_crc = 0;
   uint32_t magic = kFrameMagic;
 };
@@ -126,7 +132,10 @@ struct ReliableOptions {
   /// Retransmission attempts for the window head before the sender declares
   /// the link flapped and resets (new epoch, window abandoned).
   uint32_t max_attempts = 10;
+  /// Floor of the retransmit timeout, and the timeout before the link has
+  /// measured a round trip. The measured timeout is SRTT + 4*RTTVAR.
   SimTime initial_backoff = FromMillis(2);
+  /// Ceiling of the timeout, backoff doublings included.
   SimTime max_backoff = FromMillis(100);
   /// Backoff jitter fraction: each delay is scaled by 1 + jitter*U(-1,1).
   double jitter = 0.25;
@@ -134,9 +143,6 @@ struct ReliableOptions {
   /// (back-pressure of last resort; the channel's byte capacity usually
   /// throttles first).
   size_t max_unacked = 1024;
-  /// Recompute and verify payload CRCs at every hop's receiver. Costs one
-  /// pass over the payload per hop; disable for raw-throughput benches.
-  bool verify_crc = true;
 };
 
 /// \brief Counters for one node's reliability state (both directions).
@@ -144,7 +150,9 @@ struct ReliableMetrics {
   uint64_t retransmits = 0;        ///< frames re-sent after NACK/timeout
   uint64_t frames_abandoned = 0;   ///< dropped with a link reset
   uint64_t link_resets = 0;        ///< epoch bumps (flaps + restarts)
-  uint64_t frames_corrupted = 0;   ///< CRC mismatches detected on receive
+  /// CRC mismatches on receive. Only frames that would be delivered or adopt
+  /// a new epoch are verified: a corrupt duplicate counts as a duplicate.
+  uint64_t frames_corrupted = 0;
   uint64_t frames_duplicate = 0;   ///< already-delivered seqs discarded
   uint64_t frames_gap = 0;         ///< out-of-order arrivals NACKed/dropped
   uint64_t frames_stale = 0;       ///< frames from a superseded epoch
@@ -178,11 +186,14 @@ class ReliableSender {
   }
 
   /// Records a sent frame in the retransmit window. Call right after the
-  /// channel Send with the same seq NextHeader issued.
+  /// channel Send with the same seq NextHeader issued; `now` is the send
+  /// time the round-trip estimate measures from.
   void Track(uint32_t opcode, const rdma::MetaBlob& meta, rdma::Buffer payload,
              uint64_t seq, SimTime now);
 
   /// Cumulative acknowledgement: everything <= seq (in this epoch) is done.
+  /// The newest frame it retires gives a round-trip sample unless it was
+  /// ever retransmitted (Karn's rule: its ACK may answer either copy).
   void OnAck(uint32_t epoch, uint64_t seq, SimTime now);
 
   /// The peer expected `seq`: frames < seq are implicitly ACKed, the rest
@@ -198,12 +209,19 @@ class ReliableSender {
     rdma::MetaBlob meta;
     rdma::Buffer payload;
     uint64_t seq = 0;
+    SimTime sent_at = 0;
+    bool retransmitted = false;
   };
   const std::deque<Stored>* CollectRetransmits(SimTime now);
 
   /// Bumps the epoch, restarts seq at 0, abandons the window. Used on node
   /// restart, ring re-splice, and retransmit exhaustion.
   void Reset(SimTime now);
+
+  /// Current retransmit timeout before backoff and jitter: SRTT + 4*RTTVAR
+  /// clamped to [initial_backoff, max_backoff]; initial_backoff until the
+  /// first sample. The estimate outlives epoch resets (it describes the link).
+  SimTime rto() const;
 
   uint32_t epoch() const { return epoch_; }
   uint64_t next_seq() const { return next_seq_; }
@@ -212,6 +230,7 @@ class ReliableSender {
 
  private:
   SimTime RetxDelay(uint32_t attempts);
+  void SampleRtt(SimTime rtt);
 
   uint32_t self_ = core::kInvalidNode;
   uint32_t channel_ = kChData;
@@ -222,6 +241,9 @@ class ReliableSender {
   std::deque<Stored> unacked_;
   uint32_t head_attempts_ = 0;
   SimTime next_retx_ = 0;
+  /// Jacobson/Karels estimator state; srtt_ == 0 means no sample yet.
+  SimTime srtt_ = 0;
+  SimTime rttvar_ = 0;
   ReliableMetrics metrics_;
 };
 
@@ -245,9 +267,19 @@ class ReliableReceiver {
     uint32_t nack_epoch = 0;
   };
 
-  /// Classifies one arriving frame. `crc_ok` is the caller's verification
-  /// result (the receiver does not see payload bytes).
-  Outcome OnFrame(const FrameHeader& h, bool crc_ok);
+  /// Classifies one arriving frame, from its envelope first. Duplicates,
+  /// stale frames and gaps are settled without touching the payload: each
+  /// only drops the frame or NACKs the expected seq, which is all a corrupt
+  /// frame would get too. `verify()` is the caller's integrity check over
+  /// the whole frame (the receiver never sees payload bytes). It runs at
+  /// most once, and only for a frame that would be delivered or would adopt
+  /// a new epoch; no peer state changes until it passes, so a flipped epoch
+  /// bit cannot steer the link.
+  template <typename Verify>
+  Outcome OnFrame(const FrameHeader& h, Verify&& verify) {
+    if (auto settled = Settle(h)) return *settled;
+    return verify() ? Admit(h) : Reject(h);
+  }
 
   /// Highest in-order seq accepted from `sender` in its current epoch, for
   /// the coalesced per-drain cumulative ACK; false when nothing to ack yet.
@@ -263,6 +295,16 @@ class ReliableReceiver {
     /// NACK dedupe: one NACK per gap event, re-armed when expected moves.
     uint64_t last_nacked = UINT64_MAX;
   };
+
+  /// The outcome decided by the envelope alone, or nullopt when the frame is
+  /// in order or from a newer epoch and the payload must be verified.
+  std::optional<Outcome> Settle(const FrameHeader& h);
+  /// A verified frame: adopts a newer epoch, then delivers or NACKs a gap.
+  Outcome Admit(const FrameHeader& h);
+  /// A frame that failed verification: counted and NACKed, nothing adopted.
+  Outcome Reject(const FrameHeader& h);
+  /// NACKs peer.expected once per gap event (re-armed by progress).
+  void NackExpected(PeerState* peer, Outcome* out);
 
   std::unordered_map<uint32_t, PeerState> peers_;
   ReliableMetrics metrics_;

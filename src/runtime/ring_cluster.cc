@@ -52,7 +52,7 @@ static_assert(sizeof(net::CtrlMsg) <= rdma::MetaBlob::kCapacity,
               "CtrlMsg must fit the inline meta frame");
 
 /// CRC over the per-hop mutable part of a data frame (the admin header);
-/// XORed with the cached payload-only CRC to form FrameHeader::payload_crc.
+/// XORed with the payload frame's CRC footer to form FrameHeader::payload_crc.
 uint32_t HeaderCrc(const core::BatHeader& h) {
   // BatHeader carries tail padding, and struct assignment into a DataFrame
   // need not preserve padding bytes — CRC the canonical field bytes only, or
@@ -381,7 +381,6 @@ class RingCluster::Node final : public core::DcEnv {
     decode_rejected_.clear();
     delta_cache_.clear();
     current_payload_ = nullptr;
-    current_payload_crc_ = 0;
     data_in_->Reopen();
     request_in_->Reopen();
     ctrl_in_->Reopen();
@@ -563,7 +562,6 @@ class RingCluster::Node final : public core::DcEnv {
 
   void SendBatMsg(const core::BatHeader& header, bool is_load) override {
     rdma::Buffer payload;
-    uint32_t payload_crc = 0;
     if (is_load) {
       auto b = store_.GetById(header.bat_id);
       if (!b.ok() && (b.status().code() == StatusCode::kCorruption ||
@@ -597,7 +595,6 @@ class RingCluster::Node final : public core::DcEnv {
       wire_.dict_columns += cs.dict_columns;
       wire_.for_columns += cs.for_columns;
       wire_.plain_columns += cs.plain_columns;
-      payload_crc = bat::Crc32(frame->data(), frame->size());
       payload = std::move(frame);
     } else {
       payload = current_payload_;
@@ -611,13 +608,14 @@ class RingCluster::Node final : public core::DcEnv {
                        << " without payload; leaving recovery to the owner";
         return;
       }
-      payload_crc = current_payload_crc_;
     }
     ++wire_.hops;
     wire_.hop_bytes += payload->size();
     Node* succ = successor_.load(std::memory_order_acquire);
     net::DataFrame df;
-    df.frame = data_out_.NextHeader(HeaderCrc(header) ^ payload_crc);
+    // The encoder's CRC footer stands for the whole frame: wrapping it for
+    // the hop reads four bytes, never the payload.
+    df.frame = data_out_.NextHeader(HeaderCrc(header) ^ bat::FrameFooter(*payload));
     df.bat = header;
     // meta = envelope + administrative header, payload = encoded BAT
     // (zero-copy); a copy stays in the retransmit window until ACKed.
@@ -701,11 +699,10 @@ class RingCluster::Node final : public core::DcEnv {
   void PublishDelta(const write::DeltaPtr& d) {
     auto frame = frame_pool_.Acquire(write::EncodedDeltaSize(*d));
     write::SerializeDeltaInto(*d, frame.get());
-    const uint32_t payload_crc = bat::Crc32(frame->data(), frame->size());
     rdma::Buffer payload = std::move(frame);
     Post([this, fragment = d->fragment, version = d->version,
-          payload = std::move(payload), payload_crc] {
-      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload, payload_crc);
+          payload = std::move(payload)] {
+      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload);
     });
   }
 
@@ -740,6 +737,16 @@ class RingCluster::Node final : public core::DcEnv {
     }
     ++rx->mutable_metrics()->frames_invalid;
     return false;
+  }
+
+  /// Hop verification of a data or delta frame, in one pass over the
+  /// payload: the body must match the encoder's footer, and the footer, the
+  /// admin header and the envelope must match the envelope's payload_crc.
+  static bool PayloadIntact(const net::FrameHeader& h, uint32_t header_crc,
+                            const rdma::Buffer& payload) {
+    return payload != nullptr && bat::FrameFooterMatches(*payload) &&
+           (header_crc ^ bat::FrameFooter(*payload) ^ net::EnvelopeCrc(h)) ==
+               h.payload_crc;
   }
 
   void SendNack(uint32_t to, uint32_t channel, uint32_t epoch, uint64_t seq) {
@@ -808,9 +815,10 @@ class RingCluster::Node final : public core::DcEnv {
     if (m.meta.size() < sizeof(net::RequestFrame)) return;
     const auto rf = m.meta.As<net::RequestFrame>();
     if (!ValidFrame(rf.frame, &req_rx_)) return;
-    const bool crc_ok = (bat::Crc32(&rf.req, sizeof(rf.req)) ^
-                         net::EnvelopeCrc(rf.frame)) == rf.frame.payload_crc;
-    const auto outcome = req_rx_.OnFrame(rf.frame, crc_ok);
+    const auto outcome = req_rx_.OnFrame(rf.frame, [&] {
+      return (bat::Crc32(&rf.req, sizeof(rf.req)) ^ net::EnvelopeCrc(rf.frame)) ==
+             rf.frame.payload_crc;
+    });
     if (outcome.send_nack) {
       SendNack(rf.frame.sender, net::kChRequest, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -823,13 +831,8 @@ class RingCluster::Node final : public core::DcEnv {
     if (m.meta.size() < sizeof(net::DataFrame)) return;
     const auto df = m.meta.As<net::DataFrame>();
     if (!ValidFrame(df.frame, &data_rx_)) return;
-    const uint32_t header_crc = HeaderCrc(df.bat);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
+    const auto outcome = data_rx_.OnFrame(
+        df.frame, [&] { return PayloadIntact(df.frame, HeaderCrc(df.bat), m.payload); });
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -854,9 +857,6 @@ class RingCluster::Node final : public core::DcEnv {
     }
 
     current_payload_ = m.payload;
-    // Strip envelope and admin-header halves: the cached value is the CRC of
-    // the payload bytes alone, re-wrapped per hop by SendBatMsg.
-    current_payload_crc_ = df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
     // Decode up front if local queries are blocked on it (delivery needs the
     // typed BAT) — cheap check, decode once.
     if (dc_->pins().HasBlocked(header.bat_id) && decoded_.count(header.bat_id) == 0) {
@@ -884,14 +884,13 @@ class RingCluster::Node final : public core::DcEnv {
     dc_->OnBatMsg(header);
     store_.NoteRingLoi(header.bat_id, header.loi);
     current_payload_ = nullptr;
-    current_payload_crc_ = 0;
     TrimDecoded();
   }
 
   /// Sends one delta frame clockwise (service thread only). Shares the data
   /// sender's sequence space, so ACK/NACK/retransmission come for free.
   void SendDeltaMsg(core::BatId fragment, uint64_t version, core::NodeId origin,
-                    uint32_t hops, rdma::Buffer payload, uint32_t payload_crc) {
+                    uint32_t hops, rdma::Buffer payload) {
     Node* succ = successor_.load(std::memory_order_acquire);
     if (succ == nullptr || succ == this) return;
     DeltaFrame df;
@@ -899,7 +898,7 @@ class RingCluster::Node final : public core::DcEnv {
     df.origin = origin;
     df.version = version;
     df.hops = hops;
-    df.frame = data_out_.NextHeader(DeltaHeaderCrc(df) ^ payload_crc);
+    df.frame = data_out_.NextHeader(DeltaHeaderCrc(df) ^ bat::FrameFooter(*payload));
     const rdma::MetaBlob meta = rdma::MetaBlob::Of(df);
     if (succ->data_in()->Send(kOpDelta, meta, payload, id_)) {
       data_out_.Track(kOpDelta, meta, std::move(payload), df.frame.seq, SteadyNowNs());
@@ -910,13 +909,8 @@ class RingCluster::Node final : public core::DcEnv {
     if (m.meta.size() < sizeof(DeltaFrame)) return;
     const auto df = m.meta.As<DeltaFrame>();
     if (!ValidFrame(df.frame, &data_rx_)) return;
-    const uint32_t header_crc = DeltaHeaderCrc(df);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
+    const auto outcome = data_rx_.OnFrame(
+        df.frame, [&] { return PayloadIntact(df.frame, DeltaHeaderCrc(df), m.payload); });
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
     }
@@ -931,7 +925,7 @@ class RingCluster::Node final : public core::DcEnv {
     auto decoded = write::DeserializeDelta(*m.payload);
     if (!decoded.ok()) {
       // Hop CRC passed but the delta encoding itself is bad (corrupted at
-      // the source or a disabled-CRC run): count it, never apply garbage.
+      // the source): count it, never apply garbage.
       ++hop_.decode_failures;
       log.NoteDeltaDecodeFailure();
       return;
@@ -944,10 +938,7 @@ class RingCluster::Node final : public core::DcEnv {
       ++hop_.orphan_frames_dropped;
       return;
     }
-    const uint32_t payload_crc =
-        df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
-    SendDeltaMsg(df.fragment, df.version, df.origin, df.hops + 1, m.payload,
-                 payload_crc);
+    SendDeltaMsg(df.fragment, df.version, df.origin, df.hops + 1, m.payload);
     log.NoteDeltaForwarded(m.payload->size());
   }
 
@@ -1223,9 +1214,6 @@ class RingCluster::Node final : public core::DcEnv {
   std::vector<std::thread> runners_;
 
   rdma::Buffer current_payload_;
-  /// Payload-only CRC of current_payload_, forwarded hop to hop so a
-  /// forward never rescans the payload on the send path.
-  uint32_t current_payload_crc_ = 0;
   rdma::BufferPool frame_pool_;  ///< serialization frames for owned loads
   std::vector<rdma::Message> drain_;  ///< service-loop batch receive scratch
   std::unordered_map<core::BatId, bat::BatPtr> decoded_;

@@ -48,7 +48,7 @@ std::string EncodeSpillFile(core::BatId id, const std::string& name, const bat::
   PutU32(&out, kSpillVersion);
   PutU64(&out, id);
   PutU64(&out, payload.size());
-  PutU32(&out, bat::Crc32(payload.data(), payload.size()));
+  PutU32(&out, bat::FrameFooter(payload));
   PutU32(&out, static_cast<uint32_t>(name.size()));
   PutU32(&out, bat::Crc32(out.data(), out.size()) ^ bat::Crc32(name.data(), name.size()));
   out.append(name);
@@ -81,7 +81,9 @@ Result<bat::BatPtr> DecodeSpillFile(std::string_view image, SpillInfo* info) {
     return Corrupt("length mismatch (truncated or trailing bytes)");
   }
   const char* payload = name_ptr + name_len;
-  if (bat::Crc32(payload, payload_bytes) != payload_crc) {
+  // payload_crc is the frame's own footer; Deserialize checks every byte
+  // before it against the footer, so one pass covers the whole payload.
+  if (bat::FrameFooter(std::string_view(payload, payload_bytes)) != payload_crc) {
     return Corrupt("payload checksum mismatch");
   }
   auto decoded = bat::Deserialize(std::string_view(payload, payload_bytes));

@@ -5,14 +5,15 @@
 //   [4]  u32 version        kSpillVersion
 //   [8]  u64 bat_id
 //   [16] u64 payload_bytes  length of the serialized-BAT frame
-//   [24] u32 payload_crc    Crc32 over the payload bytes
+//   [24] u32 payload_crc    the payload frame's CRC32C footer (bat::FrameFooter)
 //   [28] u32 name_len
-//   [32] u32 meta_crc       Crc32 over bytes [0,32) XOR Crc32 over the name
+//   [32] u32 meta_crc       bat::Crc32 (CRC32C) over bytes [0,32) XOR over the name
 //   [36] name bytes         qualified fragment name ("schema.table.column")
 //   [..] payload            bat::Serialize frame (own magic/version/CRC)
 //
-// Every field that steers decoding is covered by a checksum, and the
-// payload carries the serializer's CRC footer on top — any single byte
+// Every field that steers decoding is covered by a checksum. The payload is
+// verified in one pass: its body against the serializer's footer, and the
+// footer against payload_crc — any single byte
 // flip, truncation, or trailing garbage decodes to Status::Corruption, so a
 // torn or damaged spill file can never be served as data (the store re-homes
 // the fragment from the ring instead). Writes go through a temp file plus
@@ -31,7 +32,7 @@
 namespace dcy::storage {
 
 constexpr uint32_t kSpillMagic = 0xDC5B111Fu;
-constexpr uint32_t kSpillVersion = 1;
+constexpr uint32_t kSpillVersion = 2;
 /// Fixed-size part of the envelope, before the name bytes.
 constexpr size_t kSpillHeaderBytes = 36;
 

@@ -119,10 +119,7 @@ Result<DeltaPtr> DeserializeDelta(std::string_view buffer) {
   if (buffer.size() < kHeadBytes + kCrcBytes) {
     return Status::Corruption("delta frame shorter than header");
   }
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, buffer.data() + buffer.size() - kCrcBytes, kCrcBytes);
-  const uint32_t actual = bat::Crc32(buffer.data(), buffer.size() - kCrcBytes);
-  if (stored_crc != actual) {
+  if (!bat::FrameFooterMatches(buffer)) {
     return Status::Corruption("delta frame CRC mismatch");
   }
   Reader r{buffer.data(), buffer.size() - kCrcBytes};

@@ -8,9 +8,10 @@
 // base fragments (paper's update-propagation sketch) and are folded into new
 // base fragments by the background compactor (write/write_log.h).
 //
-// The wire frame is self-describing little-endian with a leading whole-frame
-// CRC32 contract like bat/serialize.h: any byte flip or truncation of an
-// encoded delta decodes to a typed Status::Corruption, never to garbage.
+// The wire frame is self-describing little-endian and ends with a CRC32C
+// footer over every preceding byte, like bat/serialize.h (bat::FrameFooter
+// reads it): any byte flip or truncation of an encoded delta decodes to a
+// typed Status::Corruption, never to garbage.
 #pragma once
 
 #include <cstdint>

@@ -428,8 +428,50 @@ TEST(SerializeTest, DetectsCorruption) {
 }
 
 TEST(SerializeTest, Crc32KnownVector) {
-  // CRC32("123456789") == 0xCBF43926 (IEEE reference value).
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  // CRC32C("123456789") == 0xE3069283 (the Castagnoli check value).
+  EXPECT_EQ(Crc32("123456789", 9), 0xE3069283u);
+}
+
+// The SSE4.2 path (when the host has it) against the slicing-by-8 fallback:
+// every length 0..1024 at every start offset 0..7, then one 1 MiB buffer.
+// On a host without SSE4.2 both sides run the fallback.
+TEST(SerializeTest, Crc32HardwareMatchesScalar) {
+  Rng rng(20100322);
+  std::vector<uint8_t> buf((1u << 20) + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const auto both = [](const uint8_t* p, size_t n) {
+    uint32_t hw = 0, sw = 0;
+    {
+      enc::ScopedForceScalar off(false);
+      hw = Crc32(p, n);
+    }
+    {
+      enc::ScopedForceScalar on(true);
+      sw = Crc32(p, n);
+    }
+    return std::make_pair(hw, sw);
+  };
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const auto [hw, sw] = both(buf.data() + offset, n);
+      ASSERT_EQ(hw, sw) << "offset " << offset << " length " << n;
+    }
+  }
+  const auto [hw, sw] = both(buf.data(), 1u << 20);
+  EXPECT_EQ(hw, sw);
+}
+
+TEST(SerializeTest, FrameFooterCoversTheWholeFrame) {
+  const std::string wire = Serialize(*IntBat({4, 5, 6}));
+  EXPECT_TRUE(FrameFooterMatches(wire));
+  EXPECT_EQ(FrameFooter(wire), Crc32(wire.data(), wire.size() - 4));
+  for (size_t i = 0; i < wire.size(); ++i) {
+    std::string flipped = wire;
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(FrameFooterMatches(flipped)) << "byte " << i;
+  }
+  EXPECT_FALSE(FrameFooterMatches("abc"));
+  EXPECT_EQ(FrameFooter("abc"), 0u);
 }
 
 }  // namespace

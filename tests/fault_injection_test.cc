@@ -334,10 +334,14 @@ net::FrameHeader Frame(uint32_t sender, uint32_t epoch, uint64_t seq) {
   return h;
 }
 
+// Stand-ins for the caller's payload check handed to OnFrame.
+bool Intact() { return true; }
+bool Damaged() { return false; }
+
 TEST(ReliableReceiverTest, InOrderFramesDeliver) {
   net::ReliableReceiver r;
   for (uint64_t seq = 0; seq < 3; ++seq) {
-    const auto out = r.OnFrame(Frame(1, 0, seq), true);
+    const auto out = r.OnFrame(Frame(1, 0, seq), Intact);
     EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kDeliver);
     EXPECT_FALSE(out.send_nack);
   }
@@ -350,33 +354,33 @@ TEST(ReliableReceiverTest, InOrderFramesDeliver) {
 
 TEST(ReliableReceiverTest, GapNacksOnceUntilProgress) {
   net::ReliableReceiver r;
-  (void)r.OnFrame(Frame(1, 0, 0), true);
-  auto out = r.OnFrame(Frame(1, 0, 5), true);  // 1..4 missing
+  (void)r.OnFrame(Frame(1, 0, 0), Intact);
+  auto out = r.OnFrame(Frame(1, 0, 5), Intact);  // 1..4 missing
   EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kGap);
   EXPECT_TRUE(out.send_nack);
   EXPECT_EQ(out.nack_seq, 1u);
   // The same gap again: dropped, no second NACK (dedupe).
-  out = r.OnFrame(Frame(1, 0, 6), true);
+  out = r.OnFrame(Frame(1, 0, 6), Intact);
   EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kGap);
   EXPECT_FALSE(out.send_nack);
   // Progress re-arms the NACK.
-  EXPECT_EQ(r.OnFrame(Frame(1, 0, 1), true).verdict,
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 1), Intact).verdict,
             net::ReliableReceiver::Verdict::kDeliver);
-  out = r.OnFrame(Frame(1, 0, 7), true);
+  out = r.OnFrame(Frame(1, 0, 7), Intact);
   EXPECT_TRUE(out.send_nack);
   EXPECT_EQ(out.nack_seq, 2u);
 }
 
 TEST(ReliableReceiverTest, DuplicateAndStaleAndInvalidDropSilently) {
   net::ReliableReceiver r;
-  (void)r.OnFrame(Frame(1, 1, 0), true);  // adopts epoch 1
-  EXPECT_EQ(r.OnFrame(Frame(1, 1, 0), true).verdict,
+  (void)r.OnFrame(Frame(1, 1, 0), Intact);  // adopts epoch 1
+  EXPECT_EQ(r.OnFrame(Frame(1, 1, 0), Intact).verdict,
             net::ReliableReceiver::Verdict::kDuplicate);
-  EXPECT_EQ(r.OnFrame(Frame(1, 0, 3), true).verdict,
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 3), Intact).verdict,
             net::ReliableReceiver::Verdict::kStale);
   net::FrameHeader bad = Frame(1, 1, 1);
   bad.magic = 0xBAD;
-  EXPECT_EQ(r.OnFrame(bad, true).verdict, net::ReliableReceiver::Verdict::kInvalid);
+  EXPECT_EQ(r.OnFrame(bad, Intact).verdict, net::ReliableReceiver::Verdict::kInvalid);
   EXPECT_EQ(r.metrics().frames_duplicate, 1u);
   EXPECT_EQ(r.metrics().frames_stale, 1u);
   EXPECT_EQ(r.metrics().frames_invalid, 1u);
@@ -384,22 +388,22 @@ TEST(ReliableReceiverTest, DuplicateAndStaleAndInvalidDropSilently) {
 
 TEST(ReliableReceiverTest, CorruptFrameNacksItsOwnSeq) {
   net::ReliableReceiver r;
-  const auto out = r.OnFrame(Frame(1, 0, 0), /*crc_ok=*/false);
+  const auto out = r.OnFrame(Frame(1, 0, 0), Damaged);
   EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kCorrupt);
   EXPECT_TRUE(out.send_nack);
   EXPECT_EQ(out.nack_seq, 0u);
   EXPECT_EQ(r.metrics().frames_corrupted, 1u);
   // The retransmission then delivers.
-  EXPECT_EQ(r.OnFrame(Frame(1, 0, 0), true).verdict,
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 0), Intact).verdict,
             net::ReliableReceiver::Verdict::kDeliver);
 }
 
 TEST(ReliableReceiverTest, HigherEpochAdoptsFresh) {
   net::ReliableReceiver r;
-  (void)r.OnFrame(Frame(1, 0, 0), true);
-  (void)r.OnFrame(Frame(1, 0, 1), true);
+  (void)r.OnFrame(Frame(1, 0, 0), Intact);
+  (void)r.OnFrame(Frame(1, 0, 1), Intact);
   // The sender reset: epoch 1 restarts at seq 0 and must deliver.
-  const auto out = r.OnFrame(Frame(1, 1, 0), true);
+  const auto out = r.OnFrame(Frame(1, 1, 0), Intact);
   EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kDeliver);
   uint32_t epoch = 0;
   uint64_t seq = 0;
@@ -412,18 +416,145 @@ TEST(ReliableReceiverTest, CorruptFrameCannotSteerTheEpoch) {
   // A flipped bit in the epoch field must not be adopted as a sender reset:
   // nothing in a corrupt frame is trustworthy, and adopting a huge bogus
   // epoch would make every genuine frame "stale" — a permanent link wedge.
+  // A newer epoch is one of the two cases the payload is verified for.
   net::ReliableReceiver r;
-  (void)r.OnFrame(Frame(1, 0, 0), true);
-  const auto out = r.OnFrame(Frame(1, 0x40000000u, 1), /*crc_ok=*/false);
+  (void)r.OnFrame(Frame(1, 0, 0), Intact);
+  int verified = 0;
+  const auto out = r.OnFrame(Frame(1, 0x40000000u, 1), [&] {
+    ++verified;
+    return false;
+  });
+  EXPECT_EQ(verified, 1);
   EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kCorrupt);
+  EXPECT_TRUE(out.send_nack);
+  EXPECT_EQ(out.nack_epoch, 0u);
+  EXPECT_EQ(out.nack_seq, 1u);
+  EXPECT_EQ(r.metrics().frames_corrupted, 1u);
   // The genuine epoch-0 stream still delivers.
-  EXPECT_EQ(r.OnFrame(Frame(1, 0, 1), true).verdict,
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 1), Intact).verdict,
             net::ReliableReceiver::Verdict::kDeliver);
   uint32_t epoch = 99;
   uint64_t seq = 0;
   ASSERT_TRUE(r.CumulativeAck(1, &epoch, &seq));
   EXPECT_EQ(epoch, 0u);
   EXPECT_EQ(seq, 1u);
+}
+
+// Counts how often OnFrame consults the payload check.
+struct CountingVerifier {
+  int calls = 0;
+  bool result = true;
+  bool operator()() {
+    ++calls;
+    return result;
+  }
+};
+
+TEST(ReliableReceiverTest, VerifierRunsOnceForInOrderAndNewEpochFrames) {
+  net::ReliableReceiver r;
+  CountingVerifier v;
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 0), v).verdict, net::ReliableReceiver::Verdict::kDeliver);
+  EXPECT_EQ(v.calls, 1);
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 1), v).verdict, net::ReliableReceiver::Verdict::kDeliver);
+  EXPECT_EQ(v.calls, 2);
+  // A newer epoch at seq 0 delivers; one at seq 2 adopts the epoch, then
+  // NACKs the gap in it. Either way the payload is checked exactly once.
+  EXPECT_EQ(r.OnFrame(Frame(1, 1, 0), v).verdict, net::ReliableReceiver::Verdict::kDeliver);
+  EXPECT_EQ(v.calls, 3);
+  const auto out = r.OnFrame(Frame(1, 2, 2), v);
+  EXPECT_EQ(v.calls, 4);
+  EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kGap);
+  EXPECT_TRUE(out.send_nack);
+  EXPECT_EQ(out.nack_epoch, 2u);
+  EXPECT_EQ(out.nack_seq, 0u);
+}
+
+TEST(ReliableReceiverTest, VerifierNeverRunsForDuplicateStaleOrGapFrames) {
+  net::ReliableReceiver r;
+  (void)r.OnFrame(Frame(1, 1, 0), Intact);  // adopts epoch 1
+  (void)r.OnFrame(Frame(1, 1, 1), Intact);
+  // Each of these would fail verification; none may get that far, so a
+  // corrupt duplicate counts as a duplicate and nothing as corrupted.
+  CountingVerifier v;
+  v.result = false;
+  EXPECT_EQ(r.OnFrame(Frame(1, 1, 0), v).verdict,
+            net::ReliableReceiver::Verdict::kDuplicate);
+  EXPECT_EQ(r.OnFrame(Frame(1, 0, 7), v).verdict, net::ReliableReceiver::Verdict::kStale);
+  const auto gap = r.OnFrame(Frame(1, 1, 5), v);
+  EXPECT_EQ(gap.verdict, net::ReliableReceiver::Verdict::kGap);
+  EXPECT_TRUE(gap.send_nack);
+  EXPECT_EQ(gap.nack_seq, 2u);
+  EXPECT_EQ(v.calls, 0);
+  EXPECT_EQ(r.metrics().frames_duplicate, 1u);
+  EXPECT_EQ(r.metrics().frames_stale, 1u);
+  EXPECT_EQ(r.metrics().frames_gap, 1u);
+  EXPECT_EQ(r.metrics().frames_corrupted, 0u);
+  // The expected frame is verified, and its failure changes nothing.
+  EXPECT_EQ(r.OnFrame(Frame(1, 1, 2), v).verdict, net::ReliableReceiver::Verdict::kCorrupt);
+  EXPECT_EQ(v.calls, 1);
+  EXPECT_EQ(r.OnFrame(Frame(1, 1, 2), Intact).verdict,
+            net::ReliableReceiver::Verdict::kDeliver);
+}
+
+net::ReliableOptions AdaptiveLink() {
+  net::ReliableOptions o;
+  o.initial_backoff = FromMillis(1);
+  o.max_backoff = FromMillis(100);
+  o.jitter = 0.0;
+  return o;
+}
+
+/// Sends one frame at `now` and ACKs it `rtt` later; returns the ACK time.
+SimTime SendAndAck(net::ReliableSender* s, SimTime now, SimTime rtt) {
+  const auto h = s->NextHeader(0);
+  s->Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
+  s->OnAck(s->epoch(), h.seq, now + rtt);
+  return now + rtt;
+}
+
+TEST(ReliableSenderTest, RtoConvergesToMeasuredRoundTrip) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, AdaptiveLink(), 5);
+  EXPECT_EQ(s.rto(), FromMillis(1));  // no sample yet: the floor
+  SimTime now = 0;
+  // Round trips alternating 9 and 11 ms: SRTT settles at ~10 ms and RTTVAR
+  // at ~1 ms, so the timeout settles near SRTT + 4*RTTVAR = 14 ms.
+  for (int i = 0; i < 200; ++i) now = SendAndAck(&s, now, FromMillis(i % 2 == 0 ? 9 : 11));
+  EXPECT_GE(s.rto(), FromMillis(12));
+  EXPECT_LE(s.rto(), FromMillis(16));
+  // A steady 10 ms round trip shrinks RTTVAR, and the timeout with it.
+  for (int i = 0; i < 200; ++i) now = SendAndAck(&s, now, FromMillis(10));
+  EXPECT_GE(s.rto(), FromMicros(9900));
+  EXPECT_LE(s.rto(), FromMillis(11));
+  // The timer follows the estimate: no retransmit before it, one after.
+  const auto h = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(9)), nullptr);
+  EXPECT_NE(s.CollectRetransmits(now + FromMillis(12)), nullptr);
+  // Round trips below the floor clamp to initial_backoff.
+  net::ReliableSender fast;
+  fast.Init(0, net::kChData, AdaptiveLink(), 6);
+  for (int i = 0; i < 50; ++i) now = SendAndAck(&fast, now, FromMicros(100));
+  EXPECT_EQ(fast.rto(), FromMillis(1));
+}
+
+TEST(ReliableSenderTest, KarnsRuleTakesNoSampleFromRetransmittedFrames) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, AdaptiveLink(), 7);
+  SimTime now = 0;
+  for (int i = 0; i < 100; ++i) now = SendAndAck(&s, now, FromMillis(10));
+  const SimTime settled = s.rto();
+  // A frame times out and is retransmitted; its ACK 90 ms after the first
+  // send may answer either copy, so it must not move the estimate.
+  const auto h = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
+  ASSERT_NE(s.CollectRetransmits(now + settled + 1), nullptr);
+  s.OnAck(s.epoch(), h.seq, now + FromMillis(90));
+  EXPECT_EQ(s.rto(), settled);
+  EXPECT_EQ(s.window_size(), 0u);
+  // A frame sent once does give a sample again.
+  now = SendAndAck(&s, now + FromMillis(90), FromMillis(50));
+  EXPECT_GT(s.rto(), settled);
 }
 
 TEST(ReliableEnvelopeTest, AnyEnvelopeBitFlipFailsVerification) {
@@ -497,7 +628,7 @@ TEST(ReliableLoopTest, LossyLinkConvergesViaNackAndRetransmit) {
     const auto h = s.NextHeader(0);
     s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
     if (++sent % 3 == 0) continue;  // lost on the wire
-    const auto out = r.OnFrame(h, true);
+    const auto out = r.OnFrame(h, Intact);
     if (out.verdict == net::ReliableReceiver::Verdict::kDeliver) {
       delivered.push_back(h.seq);
     }
@@ -510,7 +641,7 @@ TEST(ReliableLoopTest, LossyLinkConvergesViaNackAndRetransmit) {
     uint64_t acked = 0;
     bool have_ack = false;
     for (const auto& st : *retx) {
-      const auto out = r.OnFrame(Frame(0, s.epoch(), st.seq), true);
+      const auto out = r.OnFrame(Frame(0, s.epoch(), st.seq), Intact);
       if (out.verdict == net::ReliableReceiver::Verdict::kDeliver) {
         delivered.push_back(st.seq);
         acked = st.seq;
